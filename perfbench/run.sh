@@ -10,6 +10,7 @@ out="$root/.bench_build"
 mkdir -p "$out/tmp"
 
 export GOCACHE="$out/gocache"
+export XDG_CONFIG_HOME="$out/config" # the go command's env file and telemetry
 export GOMODCACHE="$out/gomodcache"
 export GOTMPDIR="$out/tmp"
 export TMPDIR="$out/tmp"

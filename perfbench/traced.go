@@ -168,15 +168,9 @@ type tcpTrace struct {
 // client's own leg.
 func (e *tcpEnv) originPair(tr *tracer, op uint64, gw *node.Node, cl *client.Client, k int, put bool, seq uint64) (clientUs, originUs float64, errMsg string) {
 	wait := func(name string, issue func(cb func(store.Reply)) error) (store.Reply, float64) {
-		ch := make(chan store.Reply, 1)
 		h := tr.begin(name, op, -1)
 		defer tr.end(h)
-		t := time.Now()
-		if err := issue(func(r store.Reply) { ch <- r }); err != nil {
-			return store.Reply{Err: err}, 0
-		}
-		r := <-ch // every issued op answers or times out
-		return r, us(time.Since(t))
+		return await(issue)
 	}
 	if put {
 		r, o := wait("node.origin_put", func(cb func(store.Reply)) error { return gw.Put(e.key(k), value(k, seq, e.cfg.valueLen), cb) })
@@ -197,6 +191,18 @@ func (e *tcpEnv) originPair(tr *tracer, op uint64, gw *node.Node, cl *client.Cli
 		return 0, 0, "origin " + msg
 	}
 	return c, o, ""
+}
+
+// await issues one store operation and waits for its reply, returning it
+// with the µs it took.
+func await(issue func(cb func(store.Reply)) error) (store.Reply, float64) {
+	ch := make(chan store.Reply, 1)
+	t := time.Now()
+	if err := issue(func(r store.Reply) { ch <- r }); err != nil {
+		return store.Reply{Err: err}, 0
+	}
+	r := <-ch // every issued op answers or times out
+	return r, us(time.Since(t))
 }
 
 // tracedTCP is the traced tcp-store run on a built environment: an
@@ -401,32 +407,23 @@ func liveReplay(keys []geom.Point, scratch string, res *result) error {
 	}
 	defer cl.Close()
 
-	wait := func(issue func(cb func(store.Reply)) error) (store.Reply, float64) {
-		ch := make(chan store.Reply, 1)
-		t := time.Now()
-		if err := issue(func(r store.Reply) { ch <- r }); err != nil {
-			return store.Reply{Err: err}, 0
-		}
-		r := <-ch // every issued op answers or times out
-		return r, us(time.Since(t))
-	}
 	const calls = 500
 	var puts, clientGets, nodeGets []float64
 	for i := 0; i < calls; i++ {
 		k := i % len(keys)
 		v := value(k, uint64(i+1), 1024)
 		res.attempted += 3
-		r, put := wait(func(cb func(store.Reply)) error { return nd.Put(keys[k], v, cb) })
+		r, put := await(func(cb func(store.Reply)) error { return nd.Put(keys[k], v, cb) })
 		if r.Err != nil || !r.Found {
 			res.fail("live put k%d: found=%v err=%v", k, r.Found, r.Err)
 			continue
 		}
-		r, cget := wait(func(cb func(store.Reply)) error { return cl.Get(keys[k], cb) })
+		r, cget := await(func(cb func(store.Reply)) error { return cl.Get(keys[k], cb) })
 		if r.Err != nil || string(r.Value) != string(v) {
 			res.fail("live client get k%d: err=%v", k, r.Err)
 			continue
 		}
-		r, nget := wait(func(cb func(store.Reply)) error { return nd.Get(keys[k], cb) })
+		r, nget := await(func(cb func(store.Reply)) error { return nd.Get(keys[k], cb) })
 		if r.Err != nil || string(r.Value) != string(v) {
 			res.fail("live node get k%d: err=%v", k, r.Err)
 			continue
